@@ -1,9 +1,13 @@
 #ifndef DWQA_BENCH_BENCH_UTIL_H_
 #define DWQA_BENCH_BENCH_UTIL_H_
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/string_util.h"
 #include "qa/structured.h"
@@ -25,6 +29,35 @@ class Timer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+/// Spin-calibrated effective parallelism: the speed-up of `threads`
+/// threads over one, each spinning through the same fixed integer work.
+/// hardware_concurrency() reports the cpuset, not what the host scheduler
+/// actually grants, so an "on N-core hardware" gate reads this instead.
+inline double EffectiveCores(int threads) {
+  const uint64_t kIterations = 20'000'000;
+  std::atomic<uint64_t> sink{0};
+  auto wall_ms = [&sink, kIterations](int n) {
+    Timer timer;
+    std::vector<std::thread> spinners;
+    for (int t = 0; t < n; ++t) {
+      spinners.emplace_back([&sink, kIterations] {
+        uint64_t x = 0x12345678;
+        for (uint64_t i = 0; i < kIterations; ++i) {
+          x ^= x << 13;
+          x ^= x >> 7;
+          x ^= x << 17;
+        }
+        sink += x;  // Keeps the loop observable.
+      });
+    }
+    for (std::thread& t : spinners) t.join();
+    return timer.ElapsedMs();
+  };
+  double one = wall_ms(1);
+  double many = wall_ms(threads);
+  return many <= 0.0 ? 0.0 : threads * one / many;
+}
 
 /// Per-tuple correctness of one extracted temperature fact against the
 /// synthetic-web ground truth.

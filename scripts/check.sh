@@ -146,3 +146,16 @@ if [ "${DWQA_SKIP_BENCHES:-0}" != 1 ]; then
     "$bench"
   done
 fi
+
+# src/ size per top-level module (*.h + *.cc lines), so every change's net
+# line count is visible next to its test and bench results.
+echo
+echo "##### src/ lines per module"
+total=0
+for module in "$ROOT"/src/*/; do
+  lines=$(find "$module" \( -name '*.h' -o -name '*.cc' \) -print0 \
+            | xargs -0 cat | wc -l)
+  total=$((total + lines))
+  printf '%-14s %6d\n' "$(basename "$module")" "$lines"
+done
+printf '%-14s %6d\n' "total" "$total"

@@ -1,8 +1,5 @@
 #include "ir/inverted_index.h"
 
-#include <algorithm>
-
-#include "common/metric_names.h"
 #include "common/string_util.h"
 #include "ir/term_pipeline.h"
 
@@ -48,25 +45,11 @@ void InvertedIndex::AddAnalyzed(DocId doc_id,
 void InvertedIndex::AddAnalyzedBatch(
     const std::vector<std::pair<DocId, const text::AnalyzedDocument*>>& docs,
     ThreadPool* pool) {
-  size_t shard_count = pool == nullptr ? 1 : std::max<size_t>(
-                                                 1, pool->worker_count());
-  shard_count = std::min(shard_count, std::max<size_t>(1, docs.size()));
-  size_t per_shard = (docs.size() + shard_count - 1) / shard_count;
-  std::vector<DocSegment::Builder> shards(shard_count);
-  auto build_shard = [&](size_t s) {
-    size_t begin = s * per_shard;
-    size_t end = std::min(begin + per_shard, docs.size());
-    for (size_t i = begin; i < end; ++i) {
-      auto [tf, doc_len] = AnalyzedTf(*docs[i].second);
-      shards[s].Add(docs[i].first, tf, doc_len);
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(shard_count, build_shard);
-  } else {
-    for (size_t s = 0; s < shard_count; ++s) build_shard(s);
-  }
-  core_->AddSealedShards(std::move(shards), pool);
+  core_->AddBatch(docs.size(), pool, [&docs](DocSegment::Builder* shard,
+                                             size_t i) {
+    auto [tf, doc_len] = AnalyzedTf(*docs[i].second);
+    shard->Add(docs[i].first, tf, doc_len);
+  });
 }
 
 size_t InvertedIndex::DocFreq(const std::string& term) const {
@@ -75,25 +58,9 @@ size_t InvertedIndex::DocFreq(const std::string& term) const {
   return core_->DocFreq(id);
 }
 
-void InvertedIndex::set_metrics(MetricRegistry* metrics) {
-  core_->set_metrics(metrics, "doc");
-  if (metrics == nullptr) {
-    lookup_counter_ = nullptr;
-    lookup_latency_ = nullptr;
-    return;
-  }
-  lookup_counter_ = metrics->GetCounter(
-      kMetricIrDocLookups, {}, "Document-level index searches performed");
-  lookup_latency_ = metrics->GetHistogram(
-      kMetricIrDocLookupLatency, {}, MetricRegistry::LatencyBucketsMs(),
-      "Latency of document-level index searches");
-}
-
 std::vector<DocHit> InvertedIndex::Search(const std::string& query,
                                           size_t k) const {
-  ScopedLatencyTimer timer(lookup_latency_);
-  if (lookup_counter_ != nullptr) lookup_counter_->Increment();
-  return core_->SearchTopK(ResolveDocumentQuery(query, *dict_), k);
+  return Lookup(query, k, ResolveDocumentQuery);
 }
 
 }  // namespace ir

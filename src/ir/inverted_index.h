@@ -48,24 +48,17 @@ struct DocHit {
 /// segments with exact block-max top-k pruning. Results are byte-identical
 /// to the former monolithic index for every segment layout; passing
 /// `seal_every = 0` in the options *is* the monolithic configuration.
-class InvertedIndex {
+class InvertedIndex : public IndexFacade<DocSegment> {
  public:
   InvertedIndex() : InvertedIndex(SegmentedIndexOptions()) {}
   explicit InvertedIndex(const SegmentedIndexOptions& options)
-      : owned_(std::make_unique<TermDictionary>()),
-        dict_(owned_.get()),
-        core_(std::make_unique<SegmentedDocIndex>(options)) {}
+      : InvertedIndex(nullptr, options) {}
 
   /// Shares `dict` (must outlive the index). Ids interned by other users of
   /// the same dictionary are directly comparable with this index's.
   explicit InvertedIndex(TermDictionary* dict,
                          const SegmentedIndexOptions& options = {})
-      : dict_(dict), core_(std::make_unique<SegmentedDocIndex>(options)) {}
-
-  /// Movable (IndexCorpus replaces its indexes wholesale); the segmented
-  /// core is pinned behind the pointer, so cached references survive.
-  InvertedIndex(InvertedIndex&&) noexcept = default;
-  InvertedIndex& operator=(InvertedIndex&&) noexcept = default;
+      : IndexFacade(dict, std::make_unique<Core>(options)) {}
 
   /// Indexes the plain text of `doc_id` (caller strips markup first). An
   /// incremental append — a fresh document is searchable immediately, no
@@ -95,42 +88,6 @@ class InvertedIndex {
 
   /// Document frequency of `term` (lowercased).
   size_t DocFreq(const std::string& term) const;
-
-  /// Canonical dump of the whole index — every postings list (with term
-  /// strings, in TermId order, occurrences in insertion order) and every
-  /// document length. Two builds that produce identical dumps are
-  /// observationally identical; the golden-equivalence suites compare
-  /// these byte for byte across segment layouts and build modes.
-  std::string DebugString() const { return core_->DebugString(*dict_); }
-
-  /// Seals the current memtable into a segment (test/ingest hook).
-  void SealMemtable() { core_->SealMemtable(); }
-  size_t sealed_segment_count() const {
-    return core_->sealed_segment_count();
-  }
-  /// Compressed postings bytes across sealed segments.
-  size_t postings_bytes() const { return core_->postings_bytes(); }
-  /// Blocks until no background merge is scheduled or running.
-  void WaitForMerges() const { core_->WaitForMerges(); }
-
-  /// Attaches a metrics registry (may be null): every Search records
-  /// `dwqa_ir_doc_lookups_total` and a `dwqa_ir_doc_lookup_latency_ms`
-  /// observation, and the segmented core feeds the `dwqa_index_*` families
-  /// under {index="doc"}. Recording is lock-free, so concurrent searchers
-  /// are safe.
-  void set_metrics(MetricRegistry* metrics);
-
-  /// Trace sink for `index.seal` / inline `index.merge` spans (null off).
-  void set_trace(TraceRecorder* trace) { core_->set_trace(trace); }
-
- private:
-  std::unique_ptr<TermDictionary> owned_;  ///< Null when dict_ is shared.
-  TermDictionary* dict_;
-  std::unique_ptr<SegmentedDocIndex> core_;
-  /// Cached instruments (null = observability off); stable registry
-  /// pointers let Search record without re-resolving the series.
-  Counter* lookup_counter_ = nullptr;
-  Histogram* lookup_latency_ = nullptr;
 };
 
 }  // namespace ir

@@ -1,11 +1,6 @@
 #include "ir/passage_index.h"
 
-#include <algorithm>
-#include <set>
-
-#include "common/metric_names.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "ir/term_pipeline.h"
 #include "text/sentence_splitter.h"
 #include "text/tokenizer.h"
@@ -15,18 +10,15 @@ namespace ir {
 
 namespace {
 
-/// Per-sentence distinct-term extraction from a cached analysis (the gate
-/// and the first-occurrence dedup of the raw AddDocument path, minus the
-/// tokenization it no longer needs).
+/// Per-sentence term extraction from a cached analysis (the gate of the
+/// raw AddDocument path, minus the tokenization it no longer needs).
 std::vector<std::vector<TermId>> AnalyzedSentenceTerms(
     const text::AnalyzedDocument& analysis) {
   std::vector<std::vector<TermId>> sentence_terms(analysis.sentences.size());
   for (size_t s = 0; s < analysis.sentences.size(); ++s) {
     const text::AnalyzedSentence& sentence = analysis.sentences[s];
-    std::set<TermId> seen;
     for (size_t i = 0; i < sentence.tokens.size(); ++i) {
-      if (!IsPassageTerm(sentence.tokens[i])) continue;
-      if (seen.insert(sentence.token_ids[i]).second) {
+      if (IsPassageTerm(sentence.tokens[i])) {
         sentence_terms[s].push_back(sentence.token_ids[i]);
       }
     }
@@ -50,67 +42,39 @@ void PassageIndex::AddDocument(DocId doc_id, const std::string& text) {
   std::vector<std::string> sents = text::SentenceSplitter::Split(text);
   std::vector<std::vector<TermId>> sentence_terms(sents.size());
   for (size_t s = 0; s < sents.size(); ++s) {
-    std::set<TermId> seen;
     for (const text::Token& t : text::Tokenizer::Tokenize(sents[s])) {
-      if (!IsPassageTerm(t)) continue;
-      TermId id = dict_->Intern(t.lower);
-      if (seen.insert(id).second) sentence_terms[s].push_back(id);
+      if (IsPassageTerm(t)) sentence_terms[s].push_back(dict_->Intern(t.lower));
     }
   }
-  core_->Add(doc_id, std::move(sents), sentence_terms);
+  core_->mutable_state()->sentences[doc_id] = std::move(sents);
+  core_->Add(doc_id, sentence_terms);
 }
 
 void PassageIndex::AddAnalyzed(DocId doc_id,
                                const text::AnalyzedDocument& analysis) {
-  core_->Add(doc_id, AnalyzedSentenceTexts(analysis),
-             AnalyzedSentenceTerms(analysis));
+  core_->mutable_state()->sentences[doc_id] =
+      AnalyzedSentenceTexts(analysis);
+  core_->Add(doc_id, AnalyzedSentenceTerms(analysis));
 }
 
 void PassageIndex::AddAnalyzedBatch(
     const std::vector<std::pair<DocId, const text::AnalyzedDocument*>>& docs,
     ThreadPool* pool) {
-  size_t shard_count = pool == nullptr ? 1 : std::max<size_t>(
-                                                 1, pool->worker_count());
-  shard_count = std::min(shard_count, std::max<size_t>(1, docs.size()));
-  size_t per_shard = (docs.size() + shard_count - 1) / shard_count;
-  std::vector<PassageSegment::Builder> shards(shard_count);
-  std::vector<std::pair<DocId, std::vector<std::string>>> sentences(
-      docs.size());
-  auto build_shard = [&](size_t s) {
-    size_t begin = s * per_shard;
-    size_t end = std::min(begin + per_shard, docs.size());
-    for (size_t i = begin; i < end; ++i) {
-      shards[s].Add(docs[i].first, AnalyzedSentenceTerms(*docs[i].second));
-      sentences[i] = {docs[i].first, AnalyzedSentenceTexts(*docs[i].second)};
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(shard_count, build_shard);
-  } else {
-    for (size_t s = 0; s < shard_count; ++s) build_shard(s);
+  std::vector<std::vector<std::string>> sentences(docs.size());
+  core_->AddBatch(docs.size(), pool,
+                  [&](PassageSegment::Builder* shard, size_t i) {
+                    shard->Add(docs[i].first,
+                               AnalyzedSentenceTerms(*docs[i].second));
+                    sentences[i] = AnalyzedSentenceTexts(*docs[i].second);
+                  });
+  for (size_t i = 0; i < docs.size(); ++i) {
+    core_->mutable_state()->sentences[docs[i].first] = std::move(sentences[i]);
   }
-  core_->AddSealedShards(std::move(shards), std::move(sentences), pool);
-}
-
-void PassageIndex::set_metrics(MetricRegistry* metrics) {
-  core_->set_metrics(metrics, "passage");
-  if (metrics == nullptr) {
-    lookup_counter_ = nullptr;
-    lookup_latency_ = nullptr;
-    return;
-  }
-  lookup_counter_ = metrics->GetCounter(
-      kMetricIrPassageLookups, {}, "IR-n passage index searches performed");
-  lookup_latency_ = metrics->GetHistogram(
-      kMetricIrPassageLookupLatency, {}, MetricRegistry::LatencyBucketsMs(),
-      "Latency of IR-n passage index searches");
 }
 
 std::vector<Passage> PassageIndex::Search(const std::string& query,
                                           size_t k) const {
-  ScopedLatencyTimer timer(lookup_latency_);
-  if (lookup_counter_ != nullptr) lookup_counter_->Increment();
-  return core_->SearchTopK(ResolvePassageQuery(query, *dict_), k);
+  return Lookup(query, k, ResolvePassageQuery);
 }
 
 }  // namespace ir

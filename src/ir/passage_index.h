@@ -1,6 +1,7 @@
 #ifndef DWQA_IR_PASSAGE_INDEX_H_
 #define DWQA_IR_PASSAGE_INDEX_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -53,25 +54,20 @@ struct Passage {
 /// are incremental appends, and retrieval prunes candidate documents whose
 /// score bound cannot reach the current top-k instead of scoring every
 /// window — byte-identical results for every segment layout.
-class PassageIndex {
+class PassageIndex : public IndexFacade<PassageSegment> {
  public:
   /// `window` = number of consecutive sentences per passage (clamped to a
   /// minimum of one sentence).
   explicit PassageIndex(size_t window = 8,
                         const SegmentedIndexOptions& options = {})
-      : owned_(std::make_unique<TermDictionary>()),
-        dict_(owned_.get()),
-        core_(std::make_unique<SegmentedPassageIndex>(window, options)) {}
+      : PassageIndex(window, nullptr, options) {}
 
   /// Shares `dict` (must outlive the index).
   PassageIndex(size_t window, TermDictionary* dict,
                const SegmentedIndexOptions& options = {})
-      : dict_(dict),
-        core_(std::make_unique<SegmentedPassageIndex>(window, options)) {}
-
-  /// Movable (IndexCorpus replaces its indexes wholesale).
-  PassageIndex(PassageIndex&&) noexcept = default;
-  PassageIndex& operator=(PassageIndex&&) noexcept = default;
+      : IndexFacade(dict, std::make_unique<Core>(
+                              options,
+                              Core::State{std::max<size_t>(1, window), {}})) {}
 
   /// Splits and indexes the plain text of `doc_id` — an incremental
   /// append; the document is searchable immediately.
@@ -98,45 +94,12 @@ class PassageIndex {
   /// The stored sentences of a document. The reference stays valid across
   /// seals and merges (sentence text lives outside the segments).
   const std::vector<std::string>& Sentences(DocId doc_id) const {
-    return core_->Sentences(doc_id);
+    return core_->state().Sentences(doc_id);
   }
 
-  size_t window() const { return core_->window(); }
-  size_t document_count() const { return core_->document_count(); }
-
-  /// Canonical dump — every postings list (with term strings, in TermId
-  /// order, refs in insertion order) and per-document sentence counts. Used
-  /// by the golden-equivalence suites; see InvertedIndex::DebugString.
-  std::string DebugString() const { return core_->DebugString(*dict_); }
-
-  /// Seals the current memtable into a segment (test/ingest hook).
-  void SealMemtable() { core_->SealMemtable(); }
-  size_t sealed_segment_count() const {
-    return core_->sealed_segment_count();
-  }
-  /// Compressed postings bytes across sealed segments.
-  size_t postings_bytes() const { return core_->postings_bytes(); }
-  /// Blocks until no background merge is scheduled or running.
-  void WaitForMerges() const { core_->WaitForMerges(); }
-
-  /// Attaches a metrics registry (may be null): every Search records
-  /// `dwqa_ir_passage_lookups_total` and a
-  /// `dwqa_ir_passage_lookup_latency_ms` observation, and the segmented
-  /// core feeds the `dwqa_index_*` families under {index="passage"}.
-  /// Recording is lock-free, so concurrent searchers are safe.
-  void set_metrics(MetricRegistry* metrics);
-
-  /// Trace sink for `index.seal` / inline `index.merge` spans (null off).
-  void set_trace(TraceRecorder* trace) { core_->set_trace(trace); }
-
- private:
-  std::unique_ptr<TermDictionary> owned_;  ///< Null when dict_ is shared.
-  TermDictionary* dict_;
-  std::unique_ptr<SegmentedPassageIndex> core_;
-  /// Cached instruments (null = observability off); stable registry
-  /// pointers let Search record without re-resolving the series.
-  Counter* lookup_counter_ = nullptr;
-  Histogram* lookup_latency_ = nullptr;
+  size_t window() const { return core_->state().window; }
+  /// Distinct documents indexed.
+  size_t document_count() const { return core_->state().sentences.size(); }
 };
 
 }  // namespace ir

@@ -82,6 +82,28 @@ bool PostingCursor::SkipBlock() {
   return !done();
 }
 
+void PostingsBuilder::Append(PostingsBuilder other) {
+  uint32_t offset = static_cast<uint32_t>(doc_count());
+  for (auto& [term, pairs] : other.postings) {
+    auto& dst = postings[term];
+    dst.reserve(dst.size() + pairs.size());
+    for (const auto& [ordinal, payload] : pairs) {
+      dst.push_back({ordinal + offset, payload});
+    }
+  }
+  docs.insert(docs.end(), other.docs.begin(), other.docs.end());
+}
+
+void PostingsBuilder::AddDocFreqs(DocFreqTable* df) const {
+  for (const auto& [term, pairs] : postings) {
+    size_t distinct = 0;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      if (i == 0 || pairs[i].first != pairs[i - 1].first) ++distinct;
+    }
+    (*df)[term] += distinct;
+  }
+}
+
 namespace {
 
 /// `tf / sqrt(len)` with the zero-length guard the monolithic index used —
@@ -92,17 +114,33 @@ double DocPostingWeight(uint32_t tf, uint32_t doc_len) {
   return static_cast<double>(tf) / std::sqrt(len);
 }
 
+std::vector<std::pair<uint32_t, uint32_t>> DecodePostings(
+    const PostingList& list) {
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  pairs.reserve(list.count);
+  ForEachPosting(list, [&pairs](uint32_t ordinal, uint32_t payload) {
+    pairs.push_back({ordinal, payload});
+  });
+  return pairs;
+}
+
 }  // namespace
 
 void DocSegment::Builder::Add(DocId doc,
                               const std::unordered_map<TermId, uint32_t>& tf,
-                              size_t doc_len) {
+                              size_t doc_len, DocFreqTable* df) {
   uint32_t ordinal = static_cast<uint32_t>(docs.size());
   for (const auto& [term, freq] : tf) {
     postings[term].push_back({ordinal, freq});
+    if (df != nullptr) ++(*df)[term];
   }
   docs.push_back(doc);
   lengths.push_back(static_cast<uint32_t>(doc_len));
+}
+
+void DocSegment::Builder::Append(Builder other) {
+  lengths.insert(lengths.end(), other.lengths.begin(), other.lengths.end());
+  PostingsBuilder::Append(std::move(other));
 }
 
 std::shared_ptr<const DocSegment> DocSegment::Seal(Builder builder,
@@ -122,32 +160,22 @@ std::shared_ptr<const DocSegment> DocSegment::Seal(Builder builder,
   return seg;
 }
 
+DocSegment::Builder DocSegment::Unseal() const {
+  Builder builder;
+  builder.docs = docs_;
+  builder.lengths = lengths_;
+  for (const auto& [term, list] : postings_) {
+    builder.postings[term] = DecodePostings(list);
+  }
+  return builder;
+}
+
 std::shared_ptr<const DocSegment> DocSegment::Merge(const DocSegment& left,
                                                     const DocSegment& right,
                                                     size_t block_postings) {
-  Builder builder;
-  builder.docs = left.docs_;
-  builder.docs.insert(builder.docs.end(), right.docs_.begin(),
-                      right.docs_.end());
-  builder.lengths = left.lengths_;
-  builder.lengths.insert(builder.lengths.end(), right.lengths_.begin(),
-                         right.lengths_.end());
-  uint32_t offset = static_cast<uint32_t>(left.doc_count());
-  for (const auto& [term, list] : left.postings_) {
-    auto& pairs = builder.postings[term];
-    pairs.reserve(list.count);
-    ForEachPosting(list, [&pairs](uint32_t ordinal, uint32_t tf) {
-      pairs.push_back({ordinal, tf});
-    });
-  }
-  for (const auto& [term, list] : right.postings_) {
-    auto& pairs = builder.postings[term];
-    pairs.reserve(pairs.size() + list.count);
-    ForEachPosting(list, [&pairs, offset](uint32_t ordinal, uint32_t tf) {
-      pairs.push_back({ordinal + offset, tf});
-    });
-  }
-  return Seal(std::move(builder), block_postings);
+  Builder merged = left.Unseal();
+  merged.Append(right.Unseal());
+  return Seal(std::move(merged), block_postings);
 }
 
 const PostingList* DocSegment::Find(TermId term) const {
@@ -156,11 +184,18 @@ const PostingList* DocSegment::Find(TermId term) const {
 }
 
 void PassageSegment::Builder::Add(
-    DocId doc, const std::vector<std::vector<TermId>>& sentence_terms) {
+    DocId doc, const std::vector<std::vector<TermId>>& sentence_terms,
+    DocFreqTable* df) {
   uint32_t ordinal = static_cast<uint32_t>(docs.size());
   for (uint32_t s = 0; s < sentence_terms.size(); ++s) {
     for (TermId term : sentence_terms[s]) {
-      postings[term].push_back({ordinal, s});
+      auto& refs = postings[term];
+      if (!refs.empty() && refs.back().first == ordinal) {
+        if (refs.back().second == s) continue;  // Repeat within a sentence.
+      } else if (df != nullptr) {
+        ++(*df)[term];  // The term's first ref in this document.
+      }
+      refs.push_back({ordinal, s});
     }
   }
   docs.push_back(doc);
@@ -188,30 +223,21 @@ std::shared_ptr<const PassageSegment> PassageSegment::Seal(
   return seg;
 }
 
+PassageSegment::Builder PassageSegment::Unseal() const {
+  Builder builder;
+  builder.docs = docs_;
+  for (const auto& [term, info] : terms_) {
+    builder.postings[term] = DecodePostings(info.list);
+  }
+  return builder;
+}
+
 std::shared_ptr<const PassageSegment> PassageSegment::Merge(
     const PassageSegment& left, const PassageSegment& right,
     size_t block_postings) {
-  Builder builder;
-  builder.docs = left.docs_;
-  builder.docs.insert(builder.docs.end(), right.docs_.begin(),
-                      right.docs_.end());
-  uint32_t offset = static_cast<uint32_t>(left.doc_count());
-  for (const auto& [term, info] : left.terms_) {
-    auto& pairs = builder.postings[term];
-    pairs.reserve(info.list.count);
-    ForEachPosting(info.list, [&pairs](uint32_t ordinal, uint32_t sentence) {
-      pairs.push_back({ordinal, sentence});
-    });
-  }
-  for (const auto& [term, info] : right.terms_) {
-    auto& pairs = builder.postings[term];
-    pairs.reserve(pairs.size() + info.list.count);
-    ForEachPosting(info.list,
-                   [&pairs, offset](uint32_t ordinal, uint32_t sentence) {
-                     pairs.push_back({ordinal + offset, sentence});
-                   });
-  }
-  return Seal(std::move(builder), block_postings);
+  Builder merged = left.Unseal();
+  merged.Append(right.Unseal());
+  return Seal(std::move(merged), block_postings);
 }
 
 const PassageSegment::TermInfo* PassageSegment::Find(TermId term) const {

@@ -117,6 +117,29 @@ void ForEachPosting(const PostingList& list, Fn fn) {
   }
 }
 
+/// Per-term document frequency, as kept by the segmented index cores.
+using DocFreqTable = std::unordered_map<TermId, size_t>;
+
+/// \brief The uncompressed form shared by both segment kinds' builders:
+/// an ordinal→DocId table plus (ordinal, payload) pairs per term, ordinals
+/// non-decreasing along every list.
+struct PostingsBuilder {
+  std::vector<DocId> docs;
+  std::unordered_map<TermId, std::vector<std::pair<uint32_t, uint32_t>>>
+      postings;
+
+  bool empty() const { return docs.empty(); }
+  size_t doc_count() const { return docs.size(); }
+
+  /// Appends `other`'s documents after this builder's: their ordinals
+  /// shift up by doc_count(), so the result is the builder the two
+  /// document sequences would have produced one after the other. The one
+  /// concatenation behind segment merges and the monolithic shard splice.
+  void Append(PostingsBuilder other);
+  /// Adds, per term, the number of distinct documents it occurs in.
+  void AddDocFreqs(DocFreqTable* df) const;
+};
+
 /// \brief Immutable document-level segment: per-ordinal DocId/length
 /// tables plus compressed (ordinal, tf) postings per term.
 ///
@@ -127,19 +150,16 @@ class DocSegment {
  public:
   /// \brief Accumulates documents before sealing. Also serves as the
   /// segmented index's mutable memtable: the builder's uncompressed
-  /// vectors are directly searchable.
-  struct Builder {
-    std::vector<DocId> docs;
+  /// vectors are directly searchable. Postings are (ordinal, tf) pairs.
+  struct Builder : PostingsBuilder {
     std::vector<uint32_t> lengths;
-    /// term → (ordinal, tf), ordinals strictly increasing per term.
-    std::unordered_map<TermId, std::vector<std::pair<uint32_t, uint32_t>>>
-        postings;
 
-    /// Appends one document (the next local ordinal).
+    /// Appends one document (the next local ordinal); `df`, when non-null,
+    /// gains one per distinct term of the document.
     void Add(DocId doc, const std::unordered_map<TermId, uint32_t>& tf,
-             size_t doc_len);
-    bool empty() const { return docs.empty(); }
-    size_t doc_count() const { return docs.size(); }
+             size_t doc_len, DocFreqTable* df = nullptr);
+    /// PostingsBuilder::Append, carrying the document lengths along.
+    void Append(Builder other);
   };
 
   /// Compresses `builder` into an immutable segment. A builder with
@@ -170,6 +190,8 @@ class DocSegment {
 
  private:
   DocSegment() = default;
+  /// Decodes the segment back into the builder it was sealed from.
+  Builder Unseal() const;
 
   std::vector<DocId> docs_;
   std::vector<uint32_t> lengths_;
@@ -186,20 +208,15 @@ class DocSegment {
 class PassageSegment {
  public:
   /// \brief Accumulates documents before sealing; doubles as the
-  /// segmented passage index's memtable.
-  struct Builder {
-    std::vector<DocId> docs;
-    /// term → (ordinal, sentence) refs, ordinals non-decreasing and
-    /// sentences increasing within one ordinal (one ref per sentence a
-    /// term occurs in — presence, not frequency).
-    std::unordered_map<TermId, std::vector<std::pair<uint32_t, uint32_t>>>
-        postings;
-
-    /// Appends one document: `sentence_terms[s]` lists the distinct terms
-    /// of sentence `s` (insertion order, already deduplicated).
-    void Add(DocId doc, const std::vector<std::vector<TermId>>& sentence_terms);
-    bool empty() const { return docs.empty(); }
-    size_t doc_count() const { return docs.size(); }
+  /// segmented passage index's memtable. Postings are (ordinal, sentence)
+  /// refs, sentences increasing within one ordinal (one ref per sentence a
+  /// term occurs in — presence, not frequency).
+  struct Builder : PostingsBuilder {
+    /// Appends one document: `sentence_terms[s]` lists the terms of
+    /// sentence `s` in order (a repeat within a sentence adds no ref).
+    /// `df`, when non-null, gains one per distinct term of the document.
+    void Add(DocId doc, const std::vector<std::vector<TermId>>& sentence_terms,
+             DocFreqTable* df = nullptr);
   };
 
   /// \brief Per-term statistics sealed alongside the refs.
@@ -228,6 +245,7 @@ class PassageSegment {
 
  private:
   PassageSegment() = default;
+  Builder Unseal() const;
 
   std::vector<DocId> docs_;
   std::unordered_map<TermId, TermInfo> terms_;

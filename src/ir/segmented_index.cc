@@ -7,6 +7,7 @@
 #include <queue>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "common/metric_names.h"
 #include "common/thread_pool.h"
@@ -83,73 +84,124 @@ void SpliceMerged(std::vector<std::shared_ptr<const Seg>>* sealed,
   }
 }
 
+/// The term's postings list in a segment of either kind, or null.
+const PostingList* FindList(const DocSegment& segment, TermId term) {
+  return segment.Find(term);
+}
+
+const PostingList* FindList(const PassageSegment& segment, TermId term) {
+  const PassageSegment::TermInfo* info = segment.Find(term);
+  return info == nullptr ? nullptr : &info->list;
+}
+
+/// DebugString's per-document table: lengths for documents, sentence
+/// counts for passages — each sorted by DocId.
+void DumpDocTable(const std::vector<std::shared_ptr<const DocSegment>>& sealed,
+                  const DocSegment::Builder& memtable,
+                  const IndexKind<DocSegment>::State& /*state*/,
+                  std::ostream* out) {
+  std::vector<std::pair<DocId, uint32_t>> lengths;
+  for (const auto& segment : sealed) {
+    for (uint32_t ordinal = 0; ordinal < segment->doc_count(); ++ordinal) {
+      lengths.push_back({segment->doc(ordinal), segment->length(ordinal)});
+    }
+  }
+  for (size_t i = 0; i < memtable.doc_count(); ++i) {
+    lengths.push_back({memtable.docs[i], memtable.lengths[i]});
+  }
+  std::sort(lengths.begin(), lengths.end());
+  for (const auto& [doc, len] : lengths) {
+    *out << "len " << doc << '=' << len << '\n';
+  }
+}
+
+void DumpDocTable(
+    const std::vector<std::shared_ptr<const PassageSegment>>& /*sealed*/,
+    const PassageSegment::Builder& /*memtable*/,
+    const IndexKind<PassageSegment>::State& state, std::ostream* out) {
+  std::vector<DocId> docs;
+  docs.reserve(state.sentences.size());
+  for (const auto& [doc, unused] : state.sentences) docs.push_back(doc);
+  std::sort(docs.begin(), docs.end());
+  for (DocId doc : docs) {
+    *out << "sentences " << doc << '=' << state.sentences.at(doc).size()
+         << '\n';
+  }
+}
+
 }  // namespace
 
+const std::vector<std::string>& IndexKind<PassageSegment>::State::Sentences(
+    DocId doc) const {
+  static const std::vector<std::string> kEmpty;
+  auto it = sentences.find(doc);
+  return it == sentences.end() ? kEmpty : it->second;
+}
+
 // ---------------------------------------------------------------------------
-// SegmentedDocIndex
+// The shared core
 // ---------------------------------------------------------------------------
 
-SegmentedDocIndex::SegmentedDocIndex(SegmentedIndexOptions options)
-    : options_(options) {}
+template <typename Segment>
+SegmentedIndex<Segment>::SegmentedIndex(SegmentedIndexOptions options,
+                                        State state)
+    : options_(options), state_(std::move(state)) {}
 
-SegmentedDocIndex::~SegmentedDocIndex() { WaitForMerges(); }
+template <typename Segment>
+SegmentedIndex<Segment>::~SegmentedIndex() {
+  WaitForMerges();
+}
 
-void SegmentedDocIndex::WaitForMerges() const {
+template <typename Segment>
+void SegmentedIndex<Segment>::WaitForMerges() const {
   std::unique_lock<std::mutex> lock(mu_);
   merge_cv_.wait(lock, [this] { return !merge_inflight_; });
 }
 
-void SegmentedDocIndex::Add(DocId doc,
-                            const std::unordered_map<TermId, uint32_t>& tf,
-                            size_t doc_len) {
-  for (const auto& [term, unused] : tf) ++df_[term];
-  memtable_.Add(doc, tf, doc_len);
-  ++total_docs_;
-  if (options_.seal_every > 0 && memtable_.doc_count() >= options_.seal_every) {
-    SealMemtable();
-  }
-}
-
-void SegmentedDocIndex::SealMemtable() {
+template <typename Segment>
+void SegmentedIndex<Segment>::SealMemtable() {
   if (memtable_.empty() || options_.seal_every == 0) return;
   Span span(trace_, "index.seal");
-  span.Annotate("index", "doc");
+  span.Annotate("index", IndexKind<Segment>::kLabel);
   span.Annotate("docs", static_cast<double>(memtable_.doc_count()));
-  auto segment =
-      DocSegment::Seal(std::move(memtable_), options_.block_postings);
-  memtable_ = DocSegment::Builder();
+  auto segment = Segment::Seal(std::move(memtable_), options_.block_postings);
+  memtable_ = Builder();
   AppendSealed(std::move(segment));
 }
 
-void SegmentedDocIndex::AddSealedShards(
-    std::vector<DocSegment::Builder> shards, ThreadPool* pool) {
+template <typename Segment>
+void SegmentedIndex<Segment>::AddBatch(
+    size_t n, ThreadPool* pool,
+    const std::function<void(Builder*, size_t)>& add) {
+  size_t shard_count =
+      pool == nullptr ? 1 : std::max<size_t>(1, pool->worker_count());
+  shard_count = std::min(shard_count, std::max<size_t>(1, n));
+  size_t per_shard = (n + shard_count - 1) / shard_count;
+  std::vector<Builder> shards(shard_count);
+  auto build_shard = [&](size_t s) {
+    size_t end = std::min((s + 1) * per_shard, n);
+    for (size_t i = s * per_shard; i < end; ++i) add(&shards[s], i);
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(shard_count, build_shard);
+  } else {
+    for (size_t s = 0; s < shard_count; ++s) build_shard(s);
+  }
+  for (const Builder& shard : shards) {
+    shard.AddDocFreqs(&df_);
+    total_docs_ += shard.doc_count();
+  }
   if (options_.seal_every == 0) {
     // Monolithic mode stays pure-memtable: splice the shards into the
     // memtable in shard order — indistinguishable from serial Adds.
-    for (DocSegment::Builder& shard : shards) {
-      uint32_t offset = static_cast<uint32_t>(memtable_.doc_count());
-      for (auto& [term, pairs] : shard.postings) {
-        auto& dst = memtable_.postings[term];
-        dst.reserve(dst.size() + pairs.size());
-        for (const auto& [ordinal, tf] : pairs) {
-          dst.push_back({ordinal + offset, tf});
-        }
-        df_[term] += pairs.size();
-      }
-      memtable_.docs.insert(memtable_.docs.end(), shard.docs.begin(),
-                            shard.docs.end());
-      memtable_.lengths.insert(memtable_.lengths.end(), shard.lengths.begin(),
-                               shard.lengths.end());
-      total_docs_ += shard.doc_count();
-    }
+    for (Builder& shard : shards) memtable_.Append(std::move(shard));
     return;
   }
   SealMemtable();  // Anything already buffered keeps its place in order.
-  std::vector<std::shared_ptr<const DocSegment>> segments(shards.size());
+  std::vector<std::shared_ptr<const Segment>> segments(shards.size());
   auto seal_one = [&](size_t i) {
     if (shards[i].empty()) return;
-    segments[i] =
-        DocSegment::Seal(std::move(shards[i]), options_.block_postings);
+    segments[i] = Segment::Seal(std::move(shards[i]), options_.block_postings);
   };
   if (pool != nullptr) {
     pool->ParallelFor(shards.size(), seal_one);
@@ -157,17 +209,13 @@ void SegmentedDocIndex::AddSealedShards(
     for (size_t i = 0; i < shards.size(); ++i) seal_one(i);
   }
   for (auto& segment : segments) {
-    if (segment == nullptr) continue;
-    total_docs_ += segment->doc_count();
-    for (const auto& [term, list] : segment->postings()) {
-      df_[term] += list.count;
-    }
-    AppendSealed(std::move(segment));
+    if (segment != nullptr) AppendSealed(std::move(segment));
   }
 }
 
-void SegmentedDocIndex::AppendSealed(
-    std::shared_ptr<const DocSegment> segment) {
+template <typename Segment>
+void SegmentedIndex<Segment>::AppendSealed(
+    std::shared_ptr<const Segment> segment) {
   std::unique_lock<std::mutex> lock(mu_);
   sealed_bytes_ += segment->postings_bytes();
   sealed_.push_back(std::move(segment));
@@ -176,7 +224,9 @@ void SegmentedDocIndex::AppendSealed(
   StartMergesLocked(&lock);
 }
 
-void SegmentedDocIndex::StartMergesLocked(std::unique_lock<std::mutex>* lock) {
+template <typename Segment>
+void SegmentedIndex<Segment>::StartMergesLocked(
+    std::unique_lock<std::mutex>* lock) {
   while (!merge_inflight_ && sealed_.size() > options_.merge_trigger) {
     size_t i = PickMergePair(sealed_);
     auto left = sealed_[i];
@@ -190,7 +240,7 @@ void SegmentedDocIndex::StartMergesLocked(std::unique_lock<std::mutex>* lock) {
     lock->unlock();
     {
       Span span(trace_, "index.merge");
-      span.Annotate("index", "doc");
+      span.Annotate("index", IndexKind<Segment>::kLabel);
       span.Annotate("docs",
                     static_cast<double>(left->doc_count() + right->doc_count()));
       RunMerge(left, right);
@@ -199,10 +249,11 @@ void SegmentedDocIndex::StartMergesLocked(std::unique_lock<std::mutex>* lock) {
   }
 }
 
-void SegmentedDocIndex::RunMerge(std::shared_ptr<const DocSegment> left,
-                                 std::shared_ptr<const DocSegment> right) {
+template <typename Segment>
+void SegmentedIndex<Segment>::RunMerge(std::shared_ptr<const Segment> left,
+                                       std::shared_ptr<const Segment> right) {
   auto start = std::chrono::steady_clock::now();
-  auto merged = DocSegment::Merge(*left, *right, options_.block_postings);
+  auto merged = Segment::Merge(*left, *right, options_.block_postings);
   std::unique_lock<std::mutex> lock(mu_);
   sealed_bytes_ += merged->postings_bytes();
   sealed_bytes_ -= left->postings_bytes() + right->postings_bytes();
@@ -217,7 +268,8 @@ void SegmentedDocIndex::RunMerge(std::shared_ptr<const DocSegment> left,
   merge_cv_.notify_all();
 }
 
-void SegmentedDocIndex::UpdateManifestGaugesLocked() {
+template <typename Segment>
+void SegmentedIndex<Segment>::UpdateManifestGaugesLocked() {
   if (metrics_.segments != nullptr) {
     metrics_.segments->Set(static_cast<double>(sealed_.size()));
   }
@@ -226,36 +278,17 @@ void SegmentedDocIndex::UpdateManifestGaugesLocked() {
   }
 }
 
-size_t SegmentedDocIndex::DocFreq(TermId term) const {
-  auto it = df_.find(term);
-  return it == df_.end() ? 0 : it->second;
-}
-
-size_t SegmentedDocIndex::sealed_segment_count() const {
+template <typename Segment>
+std::vector<std::shared_ptr<const Segment>>
+SegmentedIndex<Segment>::SnapshotSealed() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return sealed_.size();
+  return sealed_;
 }
 
-size_t SegmentedDocIndex::postings_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sealed_bytes_;
-}
-
-std::vector<DocHit> SegmentedDocIndex::SearchTopK(
-    const std::vector<TermId>& ids, size_t k) const {
-  // Snapshot the sealed manifest; segments are immutable, so the merge
-  // swapping the manifest later cannot invalidate this reader's view. The
-  // memtable is read directly — writers are externally excluded.
-  std::vector<std::shared_ptr<const DocSegment>> sealed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sealed = sealed_;
-  }
-  const double n_docs = static_cast<double>(total_docs_);
-  struct QueryTerm {
-    TermId id;
-    double idf;
-  };
+template <typename Segment>
+std::vector<typename SegmentedIndex<Segment>::QueryTerm>
+SegmentedIndex<Segment>::WeighQuery(const std::vector<TermId>& ids,
+                                    double n_docs) const {
   std::vector<QueryTerm> query;
   query.reserve(ids.size());
   for (TermId id : ids) {
@@ -264,6 +297,105 @@ std::vector<DocHit> SegmentedDocIndex::SearchTopK(
     query.push_back(
         {id, std::log((n_docs + 1.0) / static_cast<double>(it->second))});
   }
+  return query;
+}
+
+template <typename Segment>
+size_t SegmentedIndex<Segment>::DocFreq(TermId term) const {
+  auto it = df_.find(term);
+  return it == df_.end() ? 0 : it->second;
+}
+
+template <typename Segment>
+size_t SegmentedIndex<Segment>::sealed_segment_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return sealed_.size();
+}
+
+template <typename Segment>
+size_t SegmentedIndex<Segment>::postings_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return sealed_bytes_;
+}
+
+template <typename Segment>
+std::string SegmentedIndex<Segment>::DebugString(
+    const TermDictionary& dict) const {
+  std::vector<std::shared_ptr<const Segment>> sealed = SnapshotSealed();
+  const char separator = IndexKind<Segment>::kPostingSeparator;
+  std::ostringstream out;
+  std::vector<TermId> term_ids;
+  term_ids.reserve(df_.size());
+  for (const auto& [term, unused] : df_) term_ids.push_back(term);
+  std::sort(term_ids.begin(), term_ids.end());
+  for (TermId term : term_ids) {
+    out << term << '=' << dict.Term(term) << ':';
+    for (const auto& segment : sealed) {
+      const PostingList* list = FindList(*segment, term);
+      if (list == nullptr) continue;
+      ForEachPosting(*list, [&](uint32_t ordinal, uint32_t payload) {
+        out << ' ' << segment->doc(ordinal) << separator << payload;
+      });
+    }
+    auto it = memtable_.postings.find(term);
+    if (it != memtable_.postings.end()) {
+      for (const auto& [ordinal, payload] : it->second) {
+        out << ' ' << memtable_.docs[ordinal] << separator << payload;
+      }
+    }
+    out << '\n';
+  }
+  DumpDocTable(sealed, memtable_, state_, &out);
+  return out.str();
+}
+
+template <typename Segment>
+void SegmentedIndex<Segment>::set_metrics(MetricRegistry* metrics) {
+  if (metrics == nullptr) {
+    metrics_ = Instruments();
+    return;
+  }
+  MetricLabels labels = {{"index", IndexKind<Segment>::kLabel}};
+  metrics_.seals = metrics->GetCounter(kMetricIndexSeals, labels,
+                                       "Memtables sealed into segments");
+  metrics_.merges =
+      metrics->GetCounter(kMetricIndexMerges, labels, "Segment merges run");
+  metrics_.merge_latency = metrics->GetHistogram(
+      kMetricIndexMergeLatency, labels, MetricRegistry::LatencyBucketsMs(),
+      "Wall time of segment merges");
+  metrics_.segments = metrics->GetGauge(kMetricIndexSegments, labels,
+                                        "Sealed segments in the manifest");
+  metrics_.postings_bytes =
+      metrics->GetGauge(kMetricIndexPostingsBytes, labels,
+                        "Compressed postings bytes across sealed segments");
+  metrics_.pruned_segments = metrics->GetCounter(
+      kMetricIndexPrunedSegments, labels,
+      "Whole segments skipped by the top-k score bound");
+  metrics_.pruned_candidates = metrics->GetCounter(
+      kMetricIndexPrunedCandidates, labels,
+      "Candidate documents skipped unscored by the top-k score bound");
+  if constexpr (std::is_same_v<Segment, DocSegment>) {
+    metrics_.pruned_blocks = metrics->GetCounter(
+        kMetricIndexPrunedBlocks, labels,
+        "Posting blocks skipped undecoded by the block-max bound");
+  } else {
+    metrics_.pruned_windows = metrics->GetCounter(
+        kMetricIndexPrunedWindows, labels,
+        "Candidate sentence windows skipped unscored by the score bound");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Per-kind parts: the scorers
+// ---------------------------------------------------------------------------
+
+template <>
+std::vector<DocHit> SegmentedIndex<DocSegment>::SearchTopK(
+    const std::vector<TermId>& ids, size_t k) const {
+  // The memtable is read directly — writers are externally excluded.
+  std::vector<std::shared_ptr<const DocSegment>> sealed = SnapshotSealed();
+  const std::vector<QueryTerm> query =
+      WeighQuery(ids, static_cast<double>(total_docs_));
   std::vector<DocHit> hits;
   if (query.empty()) return hits;
   TopKThreshold theta(k);
@@ -393,273 +525,14 @@ std::vector<DocHit> SegmentedDocIndex::SearchTopK(
   return hits;
 }
 
-std::string SegmentedDocIndex::DebugString(const TermDictionary& dict) const {
-  std::vector<std::shared_ptr<const DocSegment>> sealed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sealed = sealed_;
-  }
-  std::ostringstream out;
-  std::vector<TermId> term_ids;
-  term_ids.reserve(df_.size());
-  for (const auto& [term, unused] : df_) term_ids.push_back(term);
-  std::sort(term_ids.begin(), term_ids.end());
-  for (TermId term : term_ids) {
-    out << term << '=' << dict.Term(term) << ':';
-    for (const auto& segment : sealed) {
-      const PostingList* list = segment->Find(term);
-      if (list == nullptr) continue;
-      ForEachPosting(*list, [&](uint32_t ordinal, uint32_t tf) {
-        out << ' ' << segment->doc(ordinal) << 'x' << tf;
-      });
-    }
-    auto it = memtable_.postings.find(term);
-    if (it != memtable_.postings.end()) {
-      for (const auto& [ordinal, tf] : it->second) {
-        out << ' ' << memtable_.docs[ordinal] << 'x' << tf;
-      }
-    }
-    out << '\n';
-  }
-  std::vector<std::pair<DocId, uint32_t>> lengths;
-  lengths.reserve(total_docs_);
-  for (const auto& segment : sealed) {
-    for (uint32_t ordinal = 0; ordinal < segment->doc_count(); ++ordinal) {
-      lengths.push_back({segment->doc(ordinal), segment->length(ordinal)});
-    }
-  }
-  for (size_t i = 0; i < memtable_.doc_count(); ++i) {
-    lengths.push_back({memtable_.docs[i], memtable_.lengths[i]});
-  }
-  std::sort(lengths.begin(), lengths.end());
-  for (const auto& [doc, len] : lengths) {
-    out << "len " << doc << '=' << len << '\n';
-  }
-  return out.str();
-}
-
-void SegmentedDocIndex::set_metrics(MetricRegistry* metrics,
-                                    const std::string& kind) {
-  if (metrics == nullptr) {
-    metrics_ = Instruments();
-    return;
-  }
-  MetricLabels labels = {{"index", kind}};
-  metrics_.seals = metrics->GetCounter(kMetricIndexSeals, labels,
-                                       "Memtables sealed into segments");
-  metrics_.merges =
-      metrics->GetCounter(kMetricIndexMerges, labels, "Segment merges run");
-  metrics_.merge_latency = metrics->GetHistogram(
-      kMetricIndexMergeLatency, labels, MetricRegistry::LatencyBucketsMs(),
-      "Wall time of segment merges");
-  metrics_.segments = metrics->GetGauge(kMetricIndexSegments, labels,
-                                        "Sealed segments in the manifest");
-  metrics_.postings_bytes =
-      metrics->GetGauge(kMetricIndexPostingsBytes, labels,
-                        "Compressed postings bytes across sealed segments");
-  metrics_.pruned_segments = metrics->GetCounter(
-      kMetricIndexPrunedSegments, labels,
-      "Whole segments skipped by the top-k score bound");
-  metrics_.pruned_blocks = metrics->GetCounter(
-      kMetricIndexPrunedBlocks, labels,
-      "Posting blocks skipped undecoded by the block-max bound");
-  metrics_.pruned_candidates = metrics->GetCounter(
-      kMetricIndexPrunedCandidates, labels,
-      "Candidate documents skipped unscored by the block-max bound");
-}
-
-// ---------------------------------------------------------------------------
-// SegmentedPassageIndex
-// ---------------------------------------------------------------------------
-
-SegmentedPassageIndex::SegmentedPassageIndex(size_t window,
-                                             SegmentedIndexOptions options)
-    : window_(window < 1 ? 1 : window), options_(options) {}
-
-SegmentedPassageIndex::~SegmentedPassageIndex() { WaitForMerges(); }
-
-void SegmentedPassageIndex::WaitForMerges() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  merge_cv_.wait(lock, [this] { return !merge_inflight_; });
-}
-
-void SegmentedPassageIndex::Add(
-    DocId doc, std::vector<std::string> sentences,
-    const std::vector<std::vector<TermId>>& sentence_terms) {
-  std::set<TermId> in_doc;
-  for (const auto& terms : sentence_terms) {
-    for (TermId term : terms) in_doc.insert(term);
-  }
-  for (TermId term : in_doc) ++df_[term];
-  memtable_.Add(doc, sentence_terms);
-  sentences_[doc] = std::move(sentences);
-  if (options_.seal_every > 0 && memtable_.doc_count() >= options_.seal_every) {
-    SealMemtable();
-  }
-}
-
-void SegmentedPassageIndex::SealMemtable() {
-  if (memtable_.empty() || options_.seal_every == 0) return;
-  Span span(trace_, "index.seal");
-  span.Annotate("index", "passage");
-  span.Annotate("docs", static_cast<double>(memtable_.doc_count()));
-  auto segment =
-      PassageSegment::Seal(std::move(memtable_), options_.block_postings);
-  memtable_ = PassageSegment::Builder();
-  AppendSealed(std::move(segment));
-}
-
-void SegmentedPassageIndex::AddSealedShards(
-    std::vector<PassageSegment::Builder> shards,
-    std::vector<std::pair<DocId, std::vector<std::string>>> sentences,
-    ThreadPool* pool) {
-  for (auto& [doc, sents] : sentences) {
-    sentences_[doc] = std::move(sents);
-  }
-  if (options_.seal_every == 0) {
-    // Monolithic mode stays pure-memtable (see SegmentedDocIndex).
-    for (PassageSegment::Builder& shard : shards) {
-      uint32_t offset = static_cast<uint32_t>(memtable_.doc_count());
-      for (auto& [term, pairs] : shard.postings) {
-        auto& dst = memtable_.postings[term];
-        dst.reserve(dst.size() + pairs.size());
-        size_t distinct = 0;
-        for (size_t i = 0; i < pairs.size(); ++i) {
-          if (i == 0 || pairs[i].first != pairs[i - 1].first) ++distinct;
-          dst.push_back({pairs[i].first + offset, pairs[i].second});
-        }
-        df_[term] += distinct;
-      }
-      memtable_.docs.insert(memtable_.docs.end(), shard.docs.begin(),
-                            shard.docs.end());
-    }
-    return;
-  }
-  SealMemtable();
-  std::vector<std::shared_ptr<const PassageSegment>> segments(shards.size());
-  auto seal_one = [&](size_t i) {
-    if (shards[i].empty()) return;
-    segments[i] =
-        PassageSegment::Seal(std::move(shards[i]), options_.block_postings);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(shards.size(), seal_one);
-  } else {
-    for (size_t i = 0; i < shards.size(); ++i) seal_one(i);
-  }
-  for (auto& segment : segments) {
-    if (segment == nullptr) continue;
-    for (const auto& [term, info] : segment->terms()) {
-      df_[term] += info.doc_freq;
-    }
-    AppendSealed(std::move(segment));
-  }
-}
-
-void SegmentedPassageIndex::AppendSealed(
-    std::shared_ptr<const PassageSegment> segment) {
-  std::unique_lock<std::mutex> lock(mu_);
-  sealed_bytes_ += segment->postings_bytes();
-  sealed_.push_back(std::move(segment));
-  Bump(metrics_.seals);
-  UpdateManifestGaugesLocked();
-  StartMergesLocked(&lock);
-}
-
-void SegmentedPassageIndex::StartMergesLocked(
-    std::unique_lock<std::mutex>* lock) {
-  while (!merge_inflight_ && sealed_.size() > options_.merge_trigger) {
-    size_t i = PickMergePair(sealed_);
-    auto left = sealed_[i];
-    auto right = sealed_[i + 1];
-    merge_inflight_ = true;
-    if (options_.merge_pool != nullptr) {
-      options_.merge_pool->Submit(
-          [this, left, right] { RunMerge(left, right); });
-      return;
-    }
-    lock->unlock();
-    {
-      Span span(trace_, "index.merge");
-      span.Annotate("index", "passage");
-      span.Annotate("docs",
-                    static_cast<double>(left->doc_count() + right->doc_count()));
-      RunMerge(left, right);
-    }
-    lock->lock();
-  }
-}
-
-void SegmentedPassageIndex::RunMerge(
-    std::shared_ptr<const PassageSegment> left,
-    std::shared_ptr<const PassageSegment> right) {
-  auto start = std::chrono::steady_clock::now();
-  auto merged = PassageSegment::Merge(*left, *right, options_.block_postings);
-  std::unique_lock<std::mutex> lock(mu_);
-  sealed_bytes_ += merged->postings_bytes();
-  sealed_bytes_ -= left->postings_bytes() + right->postings_bytes();
-  SpliceMerged(&sealed_, left.get(), std::move(merged));
-  Bump(metrics_.merges);
-  if (metrics_.merge_latency != nullptr) {
-    metrics_.merge_latency->Observe(MsSince(start));
-  }
-  UpdateManifestGaugesLocked();
-  merge_inflight_ = false;
-  if (options_.merge_pool != nullptr) StartMergesLocked(&lock);
-  merge_cv_.notify_all();
-}
-
-void SegmentedPassageIndex::UpdateManifestGaugesLocked() {
-  if (metrics_.segments != nullptr) {
-    metrics_.segments->Set(static_cast<double>(sealed_.size()));
-  }
-  if (metrics_.postings_bytes != nullptr) {
-    metrics_.postings_bytes->Set(static_cast<double>(sealed_bytes_));
-  }
-}
-
-const std::vector<std::string>& SegmentedPassageIndex::Sentences(
-    DocId doc) const {
-  static const std::vector<std::string> kEmpty;
-  auto it = sentences_.find(doc);
-  return it == sentences_.end() ? kEmpty : it->second;
-}
-
-size_t SegmentedPassageIndex::DocFreq(TermId term) const {
-  auto it = df_.find(term);
-  return it == df_.end() ? 0 : it->second;
-}
-
-size_t SegmentedPassageIndex::sealed_segment_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sealed_.size();
-}
-
-size_t SegmentedPassageIndex::postings_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sealed_bytes_;
-}
-
-std::vector<Passage> SegmentedPassageIndex::SearchTopK(
+template <>
+std::vector<Passage> SegmentedIndex<PassageSegment>::SearchTopK(
     const std::vector<TermId>& ids, size_t k) const {
-  std::vector<std::shared_ptr<const PassageSegment>> sealed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sealed = sealed_;
-  }
-  const double n_docs = static_cast<double>(sentences_.size());
-  struct QueryTerm {
-    TermId id;
-    double idf;
-  };
-  std::vector<QueryTerm> query;
-  for (TermId id : ids) {
-    auto it = df_.find(id);
-    if (it == df_.end() || it->second == 0) continue;
-    query.push_back(
-        {id, std::log((n_docs + 1.0) / static_cast<double>(it->second))});
-  }
+  std::vector<std::shared_ptr<const PassageSegment>> sealed = SnapshotSealed();
+  const std::vector<QueryTerm> query =
+      WeighQuery(ids, static_cast<double>(state_.sentences.size()));
   if (query.empty()) return {};
+  const size_t window = state_.window;
   constexpr double kRepeatBonus = 0.05;
 
   TopKThreshold theta(k);
@@ -699,11 +572,11 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
       Bump(metrics_.pruned_windows, static_cast<double>(starts.size()));
       return;
     }
-    size_t n_sents = Sentences(doc).size();
+    size_t n_sents = state_.Sentences(doc).size();
     std::vector<Passage> windows;
     for (uint32_t first : starts) {
       size_t last = std::min(n_sents == 0 ? size_t(first) : n_sents - 1,
-                             size_t(first) + window_ - 1);
+                             size_t(first) + window - 1);
       std::vector<size_t> occurrences(query.size(), 0);
       for (const Hit& h : doc_hits) {
         if (h.sentence >= first && h.sentence <= last) {
@@ -825,7 +698,7 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
             });
   if (candidates.size() > k) candidates.resize(k);
   for (Passage& p : candidates) {
-    const std::vector<std::string>& sents = Sentences(p.doc);
+    const std::vector<std::string>& sents = state_.Sentences(p.doc);
     std::string text;
     for (size_t s = p.first_sentence; s <= p.last_sentence && s < sents.size();
          ++s) {
@@ -837,74 +710,8 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
   return candidates;
 }
 
-std::string SegmentedPassageIndex::DebugString(
-    const TermDictionary& dict) const {
-  std::vector<std::shared_ptr<const PassageSegment>> sealed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sealed = sealed_;
-  }
-  std::ostringstream out;
-  std::vector<TermId> term_ids;
-  term_ids.reserve(df_.size());
-  for (const auto& [term, unused] : df_) term_ids.push_back(term);
-  std::sort(term_ids.begin(), term_ids.end());
-  for (TermId term : term_ids) {
-    out << term << '=' << dict.Term(term) << ':';
-    for (const auto& segment : sealed) {
-      const PassageSegment::TermInfo* info = segment->Find(term);
-      if (info == nullptr) continue;
-      ForEachPosting(info->list, [&](uint32_t ordinal, uint32_t sentence) {
-        out << ' ' << segment->doc(ordinal) << '.' << sentence;
-      });
-    }
-    auto it = memtable_.postings.find(term);
-    if (it != memtable_.postings.end()) {
-      for (const auto& [ordinal, sentence] : it->second) {
-        out << ' ' << memtable_.docs[ordinal] << '.' << sentence;
-      }
-    }
-    out << '\n';
-  }
-  std::vector<DocId> docs;
-  docs.reserve(sentences_.size());
-  for (const auto& [doc, unused] : sentences_) docs.push_back(doc);
-  std::sort(docs.begin(), docs.end());
-  for (DocId doc : docs) {
-    out << "sentences " << doc << '=' << sentences_.at(doc).size() << '\n';
-  }
-  return out.str();
-}
-
-void SegmentedPassageIndex::set_metrics(MetricRegistry* metrics,
-                                        const std::string& kind) {
-  if (metrics == nullptr) {
-    metrics_ = Instruments();
-    return;
-  }
-  MetricLabels labels = {{"index", kind}};
-  metrics_.seals = metrics->GetCounter(kMetricIndexSeals, labels,
-                                       "Memtables sealed into segments");
-  metrics_.merges =
-      metrics->GetCounter(kMetricIndexMerges, labels, "Segment merges run");
-  metrics_.merge_latency = metrics->GetHistogram(
-      kMetricIndexMergeLatency, labels, MetricRegistry::LatencyBucketsMs(),
-      "Wall time of segment merges");
-  metrics_.segments = metrics->GetGauge(kMetricIndexSegments, labels,
-                                        "Sealed segments in the manifest");
-  metrics_.postings_bytes =
-      metrics->GetGauge(kMetricIndexPostingsBytes, labels,
-                        "Compressed postings bytes across sealed segments");
-  metrics_.pruned_segments = metrics->GetCounter(
-      kMetricIndexPrunedSegments, labels,
-      "Whole segments skipped by the top-k score bound");
-  metrics_.pruned_candidates = metrics->GetCounter(
-      kMetricIndexPrunedCandidates, labels,
-      "Candidate documents skipped unscored by the score bound");
-  metrics_.pruned_windows = metrics->GetCounter(
-      kMetricIndexPrunedWindows, labels,
-      "Candidate sentence windows skipped unscored by the score bound");
-}
+template class SegmentedIndex<DocSegment>;
+template class SegmentedIndex<PassageSegment>;
 
 }  // namespace ir
 }  // namespace dwqa

@@ -38,8 +38,7 @@ AliQAn::AliQAn(const ontology::Ontology* onto, AliQAnConfig config)
                       ? std::make_unique<ThreadPool>(config.index_merge_threads)
                       : nullptr),
       passage_index_(config.passage_window, corpus_.mutable_dictionary(),
-                     EffectiveIndexOptions()),
-      doc_index_(corpus_.mutable_dictionary(), EffectiveIndexOptions()) {}
+                     EffectiveIndexOptions()) {}
 
 ir::SegmentedIndexOptions AliQAn::EffectiveIndexOptions() const {
   ir::SegmentedIndexOptions options = config_.index_options;
@@ -54,7 +53,6 @@ void AliQAn::set_preprocessor(Preprocessor preprocessor) {
 void AliQAn::set_metrics(MetricRegistry* metrics) {
   metrics_ = metrics;
   passage_index_.set_metrics(metrics);
-  doc_index_.set_metrics(metrics);
 }
 
 Status AliQAn::IndexCorpus(const ir::DocumentStore* docs) {
@@ -70,31 +68,20 @@ Status AliQAn::IndexCorpus(const ir::DocumentStore* docs) {
   docs_ = docs;
   corpus_.Clear();
   plain_.clear();
+  passage_index_ =
+      ir::PassageIndex(config_.passage_window, corpus_.mutable_dictionary(),
+                       EffectiveIndexOptions());
+  passage_index_.set_metrics(metrics_);
   if (config_.reanalyze_per_question) {
     // Ablation: raw-string indexing, all linguistic analysis deferred to
     // the per-question search phase (the pre-AnalyzedCorpus behaviour).
     plain_.reserve(docs->size());
-    passage_index_ =
-        ir::PassageIndex(config_.passage_window, corpus_.mutable_dictionary(),
-                         EffectiveIndexOptions());
-    doc_index_ = ir::InvertedIndex(corpus_.mutable_dictionary(),
-                                   EffectiveIndexOptions());
-    passage_index_.set_metrics(metrics_);
-    doc_index_.set_metrics(metrics_);
     for (const ir::Document& doc : docs->documents()) {
       std::string plain = preprocessor_(doc);
       passage_index_.AddDocument(doc.id, plain);
-      doc_index_.AddDocument(doc.id, plain);
       plain_.push_back(std::move(plain));
     }
   } else {
-    passage_index_ =
-        ir::PassageIndex(config_.passage_window, corpus_.mutable_dictionary(),
-                         EffectiveIndexOptions());
-    doc_index_ = ir::InvertedIndex(corpus_.mutable_dictionary(),
-                                   EffectiveIndexOptions());
-    passage_index_.set_metrics(metrics_);
-    doc_index_.set_metrics(metrics_);
     // Parallel analysis needs an unlimited budget: with a finite one, the
     // point of mid-run exhaustion depends on completion order, so the
     // serial path is the only deterministic choice.
@@ -107,9 +94,9 @@ Status AliQAn::IndexCorpus(const ir::DocumentStore* docs) {
     }
     if (parallel) {
       // Preprocessing and linguistic analysis fan out over the pool; the
-      // dictionary remap, deadline charges and both AddAnalyzed index
-      // builds stay serialized in document order, so every id and posting
-      // is byte-identical to the serial build.
+      // dictionary remap and deadline charges stay serialized in document
+      // order, so every id and posting is byte-identical to the serial
+      // build.
       const auto& documents = docs->documents();
       std::vector<text::AnalyzedCorpus::DocKey> keys(documents.size());
       std::vector<std::string> plains(documents.size());
@@ -130,11 +117,10 @@ Status AliQAn::IndexCorpus(const ir::DocumentStore* docs) {
         }
         batch.emplace_back(doc.id, analysis);
       }
-      // Both indexes build their postings shards concurrently on the same
-      // pool — one sealed segment per shard, byte-identical to the serial
-      // AddAnalyzed loop (AddAnalyzedBatch's contract).
+      // The passage index builds its postings shards concurrently on the
+      // same pool — one sealed segment per shard, byte-identical to the
+      // serial AddAnalyzed loop (AddAnalyzedBatch's contract).
       passage_index_.AddAnalyzedBatch(batch, &pool);
-      doc_index_.AddAnalyzedBatch(batch, &pool);
     } else {
       for (const ir::Document& doc : docs->documents()) {
         const text::AnalyzedDocument& analysis =
@@ -148,7 +134,6 @@ Status AliQAn::IndexCorpus(const ir::DocumentStore* docs) {
               static_cast<double>(analysis.sentences.size())));
         }
         passage_index_.AddAnalyzed(doc.id, analysis);
-        doc_index_.AddAnalyzed(doc.id, analysis);
       }
     }
     timings_.indexation_sentences = corpus_.sentence_count();
@@ -187,14 +172,12 @@ Result<size_t> AliQAn::IngestNewDocuments() {
     if (config_.reanalyze_per_question) {
       std::string plain = preprocessor_(doc);
       passage_index_.AddDocument(doc.id, plain);
-      doc_index_.AddDocument(doc.id, plain);
       plain_.push_back(std::move(plain));
       continue;
     }
     const text::AnalyzedDocument& analysis =
         corpus_.Add(doc.id, preprocessor_(doc));
     passage_index_.AddAnalyzed(doc.id, analysis);
-    doc_index_.AddAnalyzed(doc.id, analysis);
     timings_.indexation_sentences += analysis.sentences.size();
     // Same per-sentence charge as IndexCorpus: the linguistic work is
     // billed where it happens. The cursor has already advanced past this

@@ -12,7 +12,6 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "ir/document.h"
-#include "ir/inverted_index.h"
 #include "ir/passage_index.h"
 #include "ir/segmented_index.h"
 #include "ontology/ontology.h"
@@ -51,8 +50,8 @@ struct AliQAnConfig {
   /// deadline budget is installed (mid-indexation exhaustion is inherently
   /// order-dependent) or under the reanalyze_per_question ablation.
   size_t threads = 1;
-  /// Segment policy for both indexes (ir/segmented_index.h): memtable seal
-  /// threshold, merge trigger, posting-block size. `merge_pool` is ignored
+  /// Segment policy of the passage index (ir/segmented_index.h): memtable
+  /// seal threshold, merge trigger, posting-block size. `merge_pool` is ignored
   /// here — set index_merge_threads instead and AliQAn owns the pool.
   ir::SegmentedIndexOptions index_options;
   /// Background threads for segment merges. 0 (the default) merges inline
@@ -95,10 +94,10 @@ struct PhaseTimings {
 /// pluggable preprocessor handles HTML/XML; the integration layer plugs the
 /// table-aware preprocessor here), linguistically analyzed exactly once
 /// into the AnalyzedCorpus (sentence split, POS tags, lemmas, Syntactic
-/// Blocks, date mentions, interned term ids), and indexed twice from that
-/// analysis — the IR-n passage index for filtering and a document-level
-/// index for the IR baseline comparisons. Indexation is deliberately the
-/// expensive phase, exactly the paper's off-line/on-line split.
+/// Blocks, date mentions, interned term ids), and indexed from that
+/// analysis into the IR-n passage index that filters the search phase
+/// (Figure 3, Module 2). Indexation is deliberately the expensive phase,
+/// exactly the paper's off-line/on-line split.
 ///
 /// Search phase: (1) question analysis, (2) selection of relevant passages,
 /// (3) extraction of the answer — pattern matching over the cached
@@ -123,10 +122,11 @@ class AliQAn {
 
   /// Attaches a metrics registry (owned by the caller, may be null). Ask
   /// records per-question counters and phase latencies into the `dwqa_qa_*`
-  /// families; the registry is also propagated to both indexes (including
-  /// the fresh ones IndexCorpus builds), so retrieval feeds the
-  /// `dwqa_ir_*` families. Recording is lock-free, so speculative AskWith
-  /// workers may run concurrently against the same registry.
+  /// families; the registry is also propagated to the passage index
+  /// (including the fresh one IndexCorpus builds), so retrieval feeds the
+  /// `dwqa_ir_passage_*` and `dwqa_index_*{index="passage"}` families.
+  /// Recording is lock-free, so speculative AskWith workers may run
+  /// concurrently against the same registry.
   void set_metrics(MetricRegistry* metrics);
 
   const AliQAnConfig& config() const { return config_; }
@@ -167,8 +167,6 @@ class AliQAn {
                             PhaseTimings* timings, Deadline* deadline,
                             TraceRecorder* trace = nullptr) const;
 
-  /// The document-level index (the IR baseline of bench_ir_vs_qa).
-  const ir::InvertedIndex& document_index() const { return doc_index_; }
   const ir::PassageIndex& passage_index() const { return passage_index_; }
 
   /// The analyze-once corpus built by IndexCorpus (empty under the
@@ -193,17 +191,16 @@ class AliQAn {
   Deadline* deadline_ = nullptr;
   MetricRegistry* metrics_ = nullptr;
   /// Background merge pool (null when index_merge_threads == 0). Declared
-  /// before the indexes that submit work to it: index destructors wait for
+  /// before the index that submits work to it: index destructors wait for
   /// in-flight merges, so the pool must be destroyed after them.
   std::unique_ptr<ThreadPool> merge_pool_;
-  /// Owns the shared TermDictionary; declared before the indexes that
-  /// borrow its pointer so destruction order stays safe.
+  /// Owns the shared TermDictionary; declared before the index that
+  /// borrows its pointer so destruction order stays safe.
   text::AnalyzedCorpus corpus_;
   /// Raw plain text per doc — only populated under reanalyze_per_question
   /// (the corpus stores plain text on the cached path).
   std::vector<std::string> plain_;
   ir::PassageIndex passage_index_;
-  ir::InvertedIndex doc_index_;
   PhaseTimings timings_;
   /// Documents of docs_ already indexed — the IngestNewDocuments cursor.
   size_t indexed_docs_ = 0;

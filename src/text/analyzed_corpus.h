@@ -97,7 +97,7 @@ class CorpusAnalyzer {
 /// Consumers — InvertedIndex, PassageIndex, AnswerExtractor, the
 /// degradation ladder, MultidimIr — borrow the dictionary pointer and
 /// sentence views; the corpus must outlive them all (in AliQAn it is a
-/// member declared before both indexes).
+/// member declared before the passage index).
 class AnalyzedCorpus {
  public:
   /// Document key; matches ir::DocId without depending on the ir layer.

@@ -100,7 +100,7 @@ TEST_F(SegmentedEquivalenceTest, SegmentLayoutsAnswerIdentically) {
   monolithic_config.index_options.seal_every = 0;  // Pure memtable.
   AliQAn monolithic(&wn_, monolithic_config);
   ASSERT_TRUE(monolithic.IndexCorpus(&web_->documents()).ok());
-  EXPECT_EQ(monolithic.document_index().sealed_segment_count(), 0u);
+  EXPECT_EQ(monolithic.passage_index().sealed_segment_count(), 0u);
 
   // Default layout, one-doc segments, and aggressive merging must all
   // produce the same postings dump and the same answers.
@@ -115,8 +115,6 @@ TEST_F(SegmentedEquivalenceTest, SegmentLayoutsAnswerIdentically) {
   for (const AliQAnConfig& config : layouts) {
     AliQAn segmented(&wn_, config);
     ASSERT_TRUE(segmented.IndexCorpus(&web_->documents()).ok());
-    EXPECT_EQ(segmented.document_index().DebugString(),
-              monolithic.document_index().DebugString());
     EXPECT_EQ(segmented.passage_index().DebugString(),
               monolithic.passage_index().DebugString());
     ExpectIdentical(&segmented, &monolithic, AllQuestions());
@@ -136,15 +134,12 @@ TEST_F(SegmentedEquivalenceTest, BackgroundMergePoolAnswersIdentically) {
   // Merge timing never changes results: ask *before* waiting, then verify
   // the settled manifest dumps identically to an inline-merged build.
   ExpectIdentical(&pooled, &golden, AllQuestions());
-  pooled.document_index().WaitForMerges();
   pooled.passage_index().WaitForMerges();
 
   AliQAnConfig inline_config = pooled_config;
   inline_config.index_merge_threads = 0;
   AliQAn inlined(&wn_, inline_config);
   ASSERT_TRUE(inlined.IndexCorpus(&web_->documents()).ok());
-  EXPECT_EQ(pooled.document_index().DebugString(),
-            inlined.document_index().DebugString());
   EXPECT_EQ(pooled.passage_index().DebugString(),
             inlined.passage_index().DebugString());
 }
@@ -160,8 +155,6 @@ TEST_F(SegmentedEquivalenceTest, ParallelShardedBuildMatchesSerialBuild) {
   // The parallel path seals one segment per shard instead of filling the
   // memtable, so the manifests differ — but the canonical dump and the
   // answers may not.
-  EXPECT_EQ(serial.document_index().DebugString(),
-            parallel.document_index().DebugString());
   EXPECT_EQ(serial.passage_index().DebugString(),
             parallel.passage_index().DebugString());
   ExpectIdentical(&parallel, &serial, AllQuestions());
@@ -193,10 +186,8 @@ TEST_F(SegmentedEquivalenceTest, IncrementalIngestMatchesFullRebuild) {
   AliQAn rebuilt(&wn_, BaseConfig());
   ASSERT_TRUE(rebuilt.IndexCorpus(&web_->documents()).ok());
 
-  EXPECT_EQ(incremental.document_index().document_count(),
-            rebuilt.document_index().document_count());
-  EXPECT_EQ(incremental.document_index().DebugString(),
-            rebuilt.document_index().DebugString());
+  EXPECT_EQ(incremental.passage_index().document_count(),
+            rebuilt.passage_index().document_count());
   EXPECT_EQ(incremental.passage_index().DebugString(),
             rebuilt.passage_index().DebugString());
   ExpectIdentical(&incremental, &rebuilt, AllQuestions());

@@ -1,4 +1,4 @@
-// Behavioural suite of the LSM-style segmented index cores, driven through
+// Behavioural suite of the LSM-style segmented index core, driven through
 // the InvertedIndex/PassageIndex façades: byte-identical results for every
 // segment layout (the golden-equivalence contract), pinned tie-breaks,
 // adversarial segment shapes, and searches racing background merges. The
@@ -10,6 +10,7 @@
 #include <future>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -18,6 +19,7 @@
 #include "ir/inverted_index.h"
 #include "ir/passage_index.h"
 #include "ir/segmented_index.h"
+#include "text/analyzed_corpus.h"
 
 namespace dwqa {
 namespace ir {
@@ -67,19 +69,37 @@ const char* const kQueries[] = {
     "mild temperature dry",    "nothing matches this query zz",
 };
 
-InvertedIndex BuildDocIndex(const SegmentedIndexOptions& options,
-                            size_t docs) {
-  InvertedIndex index(options);
-  std::vector<std::string> corpus = Corpus(docs);
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    index.AddDocument(DocId(i), corpus[i]);
-  }
-  return index;
-}
+/// Per-kind glue: construction and the `index` label of the core.
+template <typename Index>
+struct KindOf;
 
-PassageIndex BuildPassageIndex(const SegmentedIndexOptions& options,
-                               size_t docs) {
-  PassageIndex index(/*window=*/2, options);
+template <>
+struct KindOf<InvertedIndex> {
+  static constexpr const char* kLabel = "doc";
+  static InvertedIndex Make(const SegmentedIndexOptions& options) {
+    return InvertedIndex(options);
+  }
+  static InvertedIndex Make(TermDictionary* dict,
+                            const SegmentedIndexOptions& options) {
+    return InvertedIndex(dict, options);
+  }
+};
+
+template <>
+struct KindOf<PassageIndex> {
+  static constexpr const char* kLabel = "passage";
+  static PassageIndex Make(const SegmentedIndexOptions& options) {
+    return PassageIndex(/*window=*/2, options);
+  }
+  static PassageIndex Make(TermDictionary* dict,
+                           const SegmentedIndexOptions& options) {
+    return PassageIndex(/*window=*/2, dict, options);
+  }
+};
+
+template <typename Index>
+Index BuildIndex(const SegmentedIndexOptions& options, size_t docs) {
+  Index index = KindOf<Index>::Make(options);
   std::vector<std::string> corpus = Corpus(docs);
   for (size_t i = 0; i < corpus.size(); ++i) {
     index.AddDocument(DocId(i), corpus[i]);
@@ -95,7 +115,7 @@ SegmentedIndexOptions Monolithic() {
 
 TEST(SegmentedDocIndexTest, EveryLayoutMatchesTheMonolithicIndex) {
   const size_t kDocs = 40;
-  InvertedIndex golden = BuildDocIndex(Monolithic(), kDocs);
+  InvertedIndex golden = BuildIndex<InvertedIndex>(Monolithic(), kDocs);
   EXPECT_EQ(golden.sealed_segment_count(), 0u);
 
   std::vector<SegmentedIndexOptions> layouts(3);
@@ -105,7 +125,7 @@ TEST(SegmentedDocIndexTest, EveryLayoutMatchesTheMonolithicIndex) {
   layouts[2].merge_trigger = 2;  // Aggressive inline merging.
   layouts[2].block_postings = 2;
   for (const SegmentedIndexOptions& options : layouts) {
-    InvertedIndex segmented = BuildDocIndex(options, kDocs);
+    InvertedIndex segmented = BuildIndex<InvertedIndex>(options, kDocs);
     EXPECT_EQ(segmented.DebugString(), golden.DebugString());
     EXPECT_EQ(segmented.document_count(), golden.document_count());
     for (const char* query : kQueries) {
@@ -118,7 +138,7 @@ TEST(SegmentedDocIndexTest, EveryLayoutMatchesTheMonolithicIndex) {
 
 TEST(SegmentedPassageIndexTest, EveryLayoutMatchesTheMonolithicIndex) {
   const size_t kDocs = 40;
-  PassageIndex golden = BuildPassageIndex(Monolithic(), kDocs);
+  PassageIndex golden = BuildIndex<PassageIndex>(Monolithic(), kDocs);
   std::vector<SegmentedIndexOptions> layouts(3);
   layouts[0].seal_every = 1;
   layouts[1].seal_every = 7;
@@ -126,7 +146,7 @@ TEST(SegmentedPassageIndexTest, EveryLayoutMatchesTheMonolithicIndex) {
   layouts[2].merge_trigger = 2;
   layouts[2].block_postings = 2;
   for (const SegmentedIndexOptions& options : layouts) {
-    PassageIndex segmented = BuildPassageIndex(options, kDocs);
+    PassageIndex segmented = BuildIndex<PassageIndex>(options, kDocs);
     EXPECT_EQ(segmented.DebugString(), golden.DebugString());
     for (const char* query : kQueries) {
       EXPECT_EQ(Serialize(segmented.Search(query, 5)),
@@ -185,35 +205,6 @@ TEST(SegmentedPassageIndexTest, TieBreaksArePinnedAcrossLayouts) {
   }
 }
 
-TEST(SegmentedDocIndexTest, IncrementalAppendAfterSealIsSearchable) {
-  SegmentedIndexOptions options;
-  options.seal_every = 2;
-  InvertedIndex index(options);
-  index.AddDocument(0, "first batch apple");
-  index.AddDocument(1, "first batch banana");  // Seals here.
-  EXPECT_EQ(index.sealed_segment_count(), 1u);
-  index.AddDocument(2, "late arrival cherry");  // Memtable only.
-  std::vector<DocHit> hits = index.Search("cherry", 3);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].doc, 2);
-  EXPECT_GT(index.postings_bytes(), 0u);
-}
-
-TEST(SegmentedDocIndexTest, StopwordOnlySegmentIsHarmless) {
-  // A sealed segment with documents but zero postings (adversarial shape).
-  SegmentedIndexOptions options;
-  options.seal_every = 1;
-  InvertedIndex index(options);
-  index.AddDocument(0, "the of and but");  // Stopwords only.
-  index.AddDocument(1, "real content weather");
-  EXPECT_EQ(index.sealed_segment_count(), 2u);
-  EXPECT_EQ(index.document_count(), 2u);
-  std::vector<DocHit> hits = index.Search("weather", 2);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].doc, 1);
-  EXPECT_TRUE(index.Search("the of", 2).empty());
-}
-
 TEST(SegmentedPassageIndexTest, SentencesSurviveSealsAndMerges) {
   SegmentedIndexOptions options;
   options.seal_every = 1;
@@ -232,32 +223,9 @@ TEST(SegmentedPassageIndexTest, SentencesSurviveSealsAndMerges) {
   EXPECT_EQ(*first, "Keep this reference.");
 }
 
-TEST(SegmentedDocIndexTest, BackgroundMergesMatchInlineMerges) {
-  const size_t kDocs = 50;
-  SegmentedIndexOptions inline_options;
-  inline_options.seal_every = 3;
-  inline_options.merge_trigger = 2;
-  InvertedIndex inline_merged = BuildDocIndex(inline_options, kDocs);
-
-  ThreadPool pool(2);
-  SegmentedIndexOptions background = inline_options;
-  background.merge_pool = &pool;
-  InvertedIndex background_merged = BuildDocIndex(background, kDocs);
-  background_merged.WaitForMerges();
-
-  EXPECT_EQ(background_merged.DebugString(), inline_merged.DebugString());
-  EXPECT_EQ(background_merged.sealed_segment_count(),
-            inline_merged.sealed_segment_count());
-  for (const char* query : kQueries) {
-    EXPECT_EQ(Serialize(background_merged.Search(query, 10)),
-              Serialize(inline_merged.Search(query, 10)))
-        << query;
-  }
-}
-
 TEST(SegmentedDocIndexTest, SearchesRacingBackgroundMergesStayGolden) {
   const size_t kDocs = 60;
-  InvertedIndex golden = BuildDocIndex(Monolithic(), kDocs);
+  InvertedIndex golden = BuildIndex<InvertedIndex>(Monolithic(), kDocs);
   std::string expected[6];
   for (size_t q = 0; q < 6; ++q) {
     expected[q] = Serialize(golden.Search(kQueries[q], 10));
@@ -268,7 +236,7 @@ TEST(SegmentedDocIndexTest, SearchesRacingBackgroundMergesStayGolden) {
   options.seal_every = 2;
   options.merge_trigger = 2;
   options.merge_pool = &merge_pool;
-  InvertedIndex index = BuildDocIndex(options, kDocs);
+  InvertedIndex index = BuildIndex<InvertedIndex>(options, kDocs);
   // Writers are done; merges are (likely) still running. Query from many
   // threads without waiting — results must already be golden, and TSan
   // must see no races between the readers and the merge thread.
@@ -292,7 +260,7 @@ TEST(SegmentedDocIndexTest, SearchesRacingBackgroundMergesStayGolden) {
 
 TEST(SegmentedPassageIndexTest, SearchesRacingBackgroundMergesStayGolden) {
   const size_t kDocs = 40;
-  PassageIndex golden = BuildPassageIndex(Monolithic(), kDocs);
+  PassageIndex golden = BuildIndex<PassageIndex>(Monolithic(), kDocs);
   std::string expected[6];
   for (size_t q = 0; q < 6; ++q) {
     expected[q] = Serialize(golden.Search(kQueries[q], 5));
@@ -303,7 +271,7 @@ TEST(SegmentedPassageIndexTest, SearchesRacingBackgroundMergesStayGolden) {
   options.seal_every = 2;
   options.merge_trigger = 2;
   options.merge_pool = &merge_pool;
-  PassageIndex index = BuildPassageIndex(options, kDocs);
+  PassageIndex index = BuildIndex<PassageIndex>(options, kDocs);
   ThreadPool query_pool(4);
   std::vector<std::future<std::string>> results;
   for (int round = 0; round < 4; ++round) {
@@ -376,12 +344,75 @@ TEST(SegmentedPassageIndexTest, PruningFiresAndResultsStayExact) {
   EXPECT_GT(pruned, 0.0);
 }
 
-TEST(SegmentedDocIndexTest, SealAndInlineMergeEmitSpans) {
+// ---------------------------------------------------------------------------
+// Typed over both index kinds: the behaviour the shared core owns — seals,
+// merges, their spans and counters, the bulk build — must hold for either.
+// ---------------------------------------------------------------------------
+
+template <typename Index>
+class SegmentedIndexKindTest : public ::testing::Test {};
+
+using IndexKinds = ::testing::Types<InvertedIndex, PassageIndex>;
+TYPED_TEST_SUITE(SegmentedIndexKindTest, IndexKinds);
+
+TYPED_TEST(SegmentedIndexKindTest, IncrementalAppendAfterSealIsSearchable) {
+  SegmentedIndexOptions options;
+  options.seal_every = 2;
+  TypeParam index = KindOf<TypeParam>::Make(options);
+  index.AddDocument(0, "first batch apple");
+  index.AddDocument(1, "first batch banana");  // Seals here.
+  EXPECT_EQ(index.sealed_segment_count(), 1u);
+  index.AddDocument(2, "late arrival cherry");  // Memtable only.
+  auto hits = index.Search("cherry", 3);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].doc, 2);
+  EXPECT_GT(index.postings_bytes(), 0u);
+}
+
+TYPED_TEST(SegmentedIndexKindTest, StopwordOnlySegmentIsHarmless) {
+  // A sealed segment with documents but zero postings (adversarial shape).
+  SegmentedIndexOptions options;
+  options.seal_every = 1;
+  TypeParam index = KindOf<TypeParam>::Make(options);
+  index.AddDocument(0, "the of and but");  // Stopwords only.
+  index.AddDocument(1, "real content weather");
+  EXPECT_EQ(index.sealed_segment_count(), 2u);
+  EXPECT_EQ(index.document_count(), 2u);
+  auto hits = index.Search("weather", 2);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].doc, 1);
+  EXPECT_TRUE(index.Search("the of", 2).empty());
+}
+
+TYPED_TEST(SegmentedIndexKindTest, BackgroundMergesMatchInlineMerges) {
+  const size_t kDocs = 50;
+  SegmentedIndexOptions inline_options;
+  inline_options.seal_every = 3;
+  inline_options.merge_trigger = 2;
+  TypeParam inline_merged = BuildIndex<TypeParam>(inline_options, kDocs);
+
+  ThreadPool pool(2);
+  SegmentedIndexOptions background = inline_options;
+  background.merge_pool = &pool;
+  TypeParam background_merged = BuildIndex<TypeParam>(background, kDocs);
+  background_merged.WaitForMerges();
+
+  EXPECT_EQ(background_merged.DebugString(), inline_merged.DebugString());
+  EXPECT_EQ(background_merged.sealed_segment_count(),
+            inline_merged.sealed_segment_count());
+  for (const char* query : kQueries) {
+    EXPECT_EQ(Serialize(background_merged.Search(query, 10)),
+              Serialize(inline_merged.Search(query, 10)))
+        << query;
+  }
+}
+
+TYPED_TEST(SegmentedIndexKindTest, SealAndInlineMergeEmitSpans) {
   TraceRecorder trace;
   SegmentedIndexOptions options;
   options.seal_every = 1;
   options.merge_trigger = 2;  // Inline merges (no pool) are traced.
-  InvertedIndex index(options);
+  TypeParam index = KindOf<TypeParam>::Make(options);
   index.set_trace(&trace);
   for (DocId d = 0; d < 5; ++d) {
     index.AddDocument(d, "span content number " + std::to_string(d));
@@ -396,20 +427,107 @@ TEST(SegmentedDocIndexTest, SealAndInlineMergeEmitSpans) {
   EXPECT_GT(merges, 0u);
 }
 
-TEST(SegmentedDocIndexTest, SealCountersTrackSealsAndMerges) {
+TYPED_TEST(SegmentedIndexKindTest, SealCountersTrackSealsAndMerges) {
   MetricRegistry metrics;
   SegmentedIndexOptions options;
   options.seal_every = 1;
   options.merge_trigger = 2;
-  InvertedIndex index(options);
+  TypeParam index = KindOf<TypeParam>::Make(options);
   index.set_metrics(&metrics);
   for (DocId d = 0; d < 6; ++d) {
     index.AddDocument(d, "counter content number " + std::to_string(d));
   }
-  EXPECT_EQ(metrics.Value("dwqa_index_seals_total", {{"index", "doc"}}), 6.0);
-  EXPECT_GT(metrics.Value("dwqa_index_merges_total", {{"index", "doc"}}),
-            0.0);
+  const MetricLabels labels = {{"index", KindOf<TypeParam>::kLabel}};
+  EXPECT_EQ(metrics.Value("dwqa_index_seals_total", labels), 6.0);
+  EXPECT_GT(metrics.Value("dwqa_index_merges_total", labels), 0.0);
   EXPECT_LE(index.sealed_segment_count(), 2u);
+}
+
+TYPED_TEST(SegmentedIndexKindTest, AnalyzedBatchMatchesSerialAnalyzedAdds) {
+  // The bulk build shards contiguously and seals one segment per shard;
+  // with a 4-worker pool, with no pool, sealing or monolithic, it must dump
+  // and answer exactly like the serial AddAnalyzed loop.
+  text::AnalyzedCorpus corpus;
+  std::vector<std::string> texts = Corpus(37);
+  std::vector<std::pair<DocId, const text::AnalyzedDocument*>> batch;
+  for (size_t i = 0; i < texts.size(); ++i) {
+    batch.emplace_back(DocId(i), &corpus.Add(DocId(i), texts[i]));
+  }
+  ThreadPool pool(4);
+  SegmentedIndexOptions sealing;
+  sealing.seal_every = 4;
+  sealing.merge_trigger = 3;
+  for (const SegmentedIndexOptions& options : {Monolithic(), sealing}) {
+    TypeParam serial =
+        KindOf<TypeParam>::Make(corpus.mutable_dictionary(), options);
+    for (const auto& [doc, analysis] : batch) {
+      serial.AddAnalyzed(doc, *analysis);
+    }
+    for (ThreadPool* batch_pool : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+      TypeParam bulk =
+          KindOf<TypeParam>::Make(corpus.mutable_dictionary(), options);
+      bulk.AddAnalyzedBatch(batch, batch_pool);
+      EXPECT_EQ(bulk.DebugString(), serial.DebugString())
+          << "seal_every=" << options.seal_every
+          << " pool=" << (batch_pool != nullptr);
+      EXPECT_EQ(bulk.document_count(), serial.document_count());
+      for (const char* query : kQueries) {
+        EXPECT_EQ(Serialize(bulk.Search(query, 5)),
+                  Serialize(serial.Search(query, 5)))
+            << query;
+      }
+    }
+  }
+}
+
+TEST(SegmentedIndexMetricsTest, OneHelpTextPerFamilyAndNoIdleSeries) {
+  // Both kinds on one registry, in either registration order: each
+  // dwqa_index_* family exports one HELP line with the same text, and a
+  // kind registers only the pruning counter it feeds.
+  std::string exports[2];
+  for (int order = 0; order < 2; ++order) {
+    MetricRegistry metrics;
+    InvertedIndex doc_index;
+    PassageIndex passage_index;
+    if (order == 0) {
+      doc_index.set_metrics(&metrics);
+      passage_index.set_metrics(&metrics);
+    } else {
+      passage_index.set_metrics(&metrics);
+      doc_index.set_metrics(&metrics);
+    }
+    exports[order] = metrics.ExportPrometheus();
+    const std::string& text = exports[order];
+    size_t helps = 0;
+    for (size_t at = text.find("# HELP dwqa_index_pruned_candidates_total ");
+         at != std::string::npos;
+         at = text.find("# HELP dwqa_index_pruned_candidates_total ",
+                        at + 1)) {
+      ++helps;
+    }
+    EXPECT_EQ(helps, 1u);
+    EXPECT_NE(text.find("dwqa_index_pruned_blocks_total{index=\"doc\"}"),
+              std::string::npos);
+    EXPECT_NE(
+        text.find("dwqa_index_pruned_windows_total{index=\"passage\"}"),
+        std::string::npos);
+    EXPECT_EQ(text.find("dwqa_index_pruned_blocks_total{index=\"passage\"}"),
+              std::string::npos);
+    EXPECT_EQ(text.find("dwqa_index_pruned_windows_total{index=\"doc\"}"),
+              std::string::npos);
+  }
+  // Same families, same HELP lines, whichever kind registered first.
+  auto help_lines = [](const std::string& text) {
+    std::istringstream in(text);
+    std::string line;
+    std::string out;
+    while (std::getline(in, line)) {
+      if (line.rfind("# HELP dwqa_index_", 0) == 0) out += line + "\n";
+    }
+    return out;
+  };
+  EXPECT_FALSE(help_lines(exports[0]).empty());
+  EXPECT_EQ(help_lines(exports[0]), help_lines(exports[1]));
 }
 
 }  // namespace

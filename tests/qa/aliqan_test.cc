@@ -45,9 +45,11 @@ TEST_F(AliQAnTest, SearchBeforeIndexFails) {
 }
 
 TEST_F(AliQAnTest, IndexCorpusBuildsBothIndexes) {
+  // The two off-line structures: the analyze-once corpus and the IR-n
+  // passage index built from it.
   AliQAn aliqan(&wn_);
   ASSERT_TRUE(aliqan.IndexCorpus(&docs_).ok());
-  EXPECT_EQ(aliqan.document_index().document_count(), 4u);
+  EXPECT_EQ(aliqan.corpus().document_count(), 4u);
   EXPECT_EQ(aliqan.passage_index().document_count(), 4u);
   EXPECT_GT(aliqan.last_timings().indexation_ms, 0.0);
 }
